@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 from repro.analysis.certs import certificate_conformance_class
 from repro.analysis.policies import record_policies
-from repro.analysis.reuse import analyze_certificate_reuse
+from repro.analysis.reuse import REUSE_DEFICIT_HOSTS, thumbprint_groups
 from repro.scanner.records import HostRecord
 from repro.secure.policies import SECURE_POLICIES
 
@@ -30,6 +30,8 @@ DEFICIT_CLASSES = (
     "certificate-reuse",
     "anonymous-access",
 )
+
+_SECURE_POLICIES = frozenset(SECURE_POLICIES)
 
 
 @dataclass
@@ -62,7 +64,7 @@ def host_deficits(record: HostRecord, reused_thumbprints: set[str]) -> set[str]:
             flags.add("deprecated-best")
     certificate = record.certificate
     if certificate is not None:
-        current_secure = [p for p in policies if p in set(SECURE_POLICIES)]
+        current_secure = [p for p in policies if p in _SECURE_POLICIES]
         if any(
             certificate_conformance_class(
                 p, certificate.signature_hash, certificate.key_bits
@@ -79,8 +81,11 @@ def host_deficits(record: HostRecord, reused_thumbprints: set[str]) -> set[str]:
 
 
 def analyze_deficits(records: list[HostRecord]) -> DeficitSummary:
-    reuse = analyze_certificate_reuse(records)
-    reused_thumbprints = {g.thumbprint_hex for g in reuse.reused_on_3plus}
+    reused_thumbprints = {
+        thumbprint
+        for thumbprint, hosts in thumbprint_groups(records).items()
+        if len(hosts) >= REUSE_DEFICIT_HOSTS
+    }
     summary = DeficitSummary(total_servers=len(records))
     for record in records:
         flags = host_deficits(record, reused_thumbprints)

@@ -39,16 +39,29 @@ class ReuseAnalysis:
         return sum(group.host_count for group in self.reused_on_3plus)
 
 
-def analyze_certificate_reuse(records: list[HostRecord]) -> ReuseAnalysis:
-    by_thumbprint: dict[str, list[int]] = {}
-    subjects: dict[str, str] = {}
+#: Hosts sharing one certificate before the sharing counts as the
+#: certificate-reuse deficit (the paper's "three or more devices").
+REUSE_DEFICIT_HOSTS = 3
+
+
+def thumbprint_groups(records: list[HostRecord]) -> dict[str, list[int]]:
+    """Record indices per served-certificate thumbprint.
+
+    Thumbprints appear in first-seen order and each index list is
+    ascending; records without a certificate are skipped.  This is the
+    cheap half of the reuse analysis — the deficit aggregation needs
+    only this, never the O(n²) :func:`find_shared_primes`.
+    """
+    groups: dict[str, list[int]] = {}
     for index, record in enumerate(records):
         certificate = record.certificate
-        if certificate is None:
-            continue
-        by_thumbprint.setdefault(certificate.thumbprint_hex, []).append(index)
-        subjects[certificate.thumbprint_hex] = certificate.subject
+        if certificate is not None:
+            groups.setdefault(certificate.thumbprint_hex, []).append(index)
+    return groups
 
+
+def analyze_certificate_reuse(records: list[HostRecord]) -> ReuseAnalysis:
+    by_thumbprint = thumbprint_groups(records)
     analysis = ReuseAnalysis(distinct_certificates=len(by_thumbprint))
     for thumbprint, indices in by_thumbprint.items():
         if len(indices) < 2:
@@ -58,12 +71,14 @@ def analyze_certificate_reuse(records: list[HostRecord]) -> ReuseAnalysis:
             thumbprint_hex=thumbprint,
             host_count=len(indices),
             asn_count=len(asns),
-            subject=subjects[thumbprint],
+            subject=records[indices[-1]].certificate.subject,
             hosts=indices,
         )
         analysis.groups.append(group)
     analysis.groups.sort(key=lambda g: g.host_count, reverse=True)
-    analysis.reused_on_3plus = [g for g in analysis.groups if g.host_count >= 3]
+    analysis.reused_on_3plus = [
+        g for g in analysis.groups if g.host_count >= REUSE_DEFICIT_HOSTS
+    ]
     analysis.shared_prime_pairs = find_shared_primes(records)
     return analysis
 

@@ -7,7 +7,7 @@ information boundary as the paper's: whatever crossed the wire.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field, fields
 from datetime import datetime
 
 from repro.uabin.enums import MessageSecurityMode, UserTokenType
@@ -240,15 +240,29 @@ class HostRecord:
     )
 
     def to_json_dict(self) -> dict:
-        data = asdict(self)
-        for key in self._SPARSE_FIELDS:
-            if data.get(key) is None:
-                data.pop(key, None)
-        session = data.get("session")
-        if session:
+        """The record as ``dataclasses.asdict`` builds it — same key
+        order, nested records as dicts, no list shared with the
+        record — minus the unset sparse fields.
+
+        Built one level at a time: every snapshot digest and dataset
+        write calls this per record, and ``asdict``'s recursive deep
+        copy costs about ten times as much.  Key order is part of the
+        stored bytes: the JSONL writer does not sort keys.
+        """
+        data = _field_dict(self)
+        data["endpoints"] = [_field_dict(e) for e in self.endpoints]
+        for key in ("certificate", "secure_channel", "nodes"):
+            nested = data[key]
+            if nested is not None:
+                data[key] = _field_dict(nested)
+        if self.session is not None:
+            data["session"] = session = _field_dict(self.session)
             for key in self._SPARSE_SESSION_FIELDS:
-                if session.get(key) is None:
-                    session.pop(key, None)
+                if session[key] is None:
+                    del session[key]
+        for key in self._SPARSE_FIELDS:
+            if data[key] is None:
+                del data[key]
         return data
 
     @classmethod
@@ -264,6 +278,31 @@ class HostRecord:
             data["nodes"] = NodeSummary(**data["nodes"])
         data["endpoints"] = [EndpointRecord(**e) for e in data.get("endpoints", [])]
         return cls(**data)
+
+
+#: Declaration-order field names of each record class (the key order
+#: ``dataclasses.asdict`` would give), resolved once for
+#: :func:`_field_dict`.
+_FIELD_NAMES = {
+    cls: tuple(f.name for f in fields(cls))
+    for cls in (
+        CertificateInfo,
+        EndpointRecord,
+        SecureChannelAttempt,
+        SessionAttempt,
+        NodeSummary,
+        HostRecord,
+    )
+}
+
+
+def _field_dict(obj) -> dict:
+    """One record object's fields in declaration order, lists copied."""
+    data = {}
+    for name in _FIELD_NAMES[type(obj)]:
+        value = getattr(obj, name)
+        data[name] = value[:] if type(value) is list else value
+    return data
 
 
 @dataclass
