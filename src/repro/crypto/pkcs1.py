@@ -53,7 +53,10 @@ def _mgf1(hash_name: str, seed: bytes, length: int) -> bytes:
 
 
 def _xor(a: bytes, b: bytes) -> bytes:
-    return bytes(x ^ y for x, y in zip(a, b))
+    """XOR two equal-length byte strings (one bignum op, not per byte)."""
+    return (int.from_bytes(a, "big") ^ int.from_bytes(b, "big")).to_bytes(
+        len(a), "big"
+    )
 
 
 # --- RSASSA-PKCS1-v1_5 ------------------------------------------------------

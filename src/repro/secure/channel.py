@@ -178,6 +178,10 @@ class _ChannelBase:
                 raise SecureChannelError("symmetric keys not derived yet")
             sig_len = self.policy.signature_length
             if self.mode == MessageSecurityMode.SIGN_AND_ENCRYPT:
+                if len(rest) % self.policy.sym_block_size:
+                    raise SecureChannelError(
+                        "encrypted body is not block-aligned"
+                    )
                 decrypted = crypto_suite.sym_decrypt(self.policy, keys, rest)
                 signature = decrypted[-sig_len:]
                 signed_part = decrypted[:-sig_len]

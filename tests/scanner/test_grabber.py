@@ -8,7 +8,11 @@ from repro.scanner.campaign import ScanCampaign, ScannerIdentity, parse_endpoint
 from repro.scanner.grabber import grab_host
 from repro.scanner.limits import TraversalBudget
 from repro.scanner.records import HostRecord
-from repro.secure.policies import POLICY_BASIC256SHA256
+from repro.secure.policies import (
+    ALL_POLICIES,
+    POLICY_BASIC256SHA256,
+    POLICY_NONE,
+)
 from repro.server import EndpointConfig, ServerBehavior
 from repro.uabin.enums import MessageSecurityMode, UserTokenType
 from repro.util.ipaddr import parse_ipv4
@@ -17,6 +21,8 @@ from repro.util.simtime import SimClock, parse_utc
 from repro.x509.builder import make_self_signed
 
 from tests.server.helpers import build_server
+
+SIGNING_POLICIES = [p for p in ALL_POLICIES if p is not POLICY_NONE]
 
 
 class JunkService:
@@ -423,3 +429,92 @@ class TestErrorTruthfulness:
         assert data["error_category"] == "timeout"
         assert data["session"]["error_category"] == "refused"
         assert HostRecord.from_json_dict(data) == record
+
+
+class TestSecureRegrabRsaCost:
+    """RSA private-key work of one secure re-grab, pinned.
+
+    The simulator runs both endpoints in one process, so an RSA
+    decryption of a ciphertext this process just produced is a
+    known-inverse hit, not a CRT exponentiation.  What is left are the
+    signatures, which are computed before any public operation could
+    record them: the OPN signature on each side plus the CreateSession
+    and ActivateSession nonce proofs, the protocol minimum.  A change
+    that makes the re-grab sign more shows up here first.
+    """
+
+    PROTOCOL_MINIMUM = 4
+
+    @pytest.mark.parametrize(
+        "mode",
+        [MessageSecurityMode.SIGN, MessageSecurityMode.SIGN_AND_ENCRYPT],
+        ids=lambda mode: mode.name,
+    )
+    @pytest.mark.parametrize(
+        "policy", SIGNING_POLICIES, ids=lambda policy: policy.short_label
+    )
+    def test_crt_exponentiations_per_regrab(
+        self, policy, mode, scanner_identity, scan_rng, rsa_2048, monkeypatch
+    ):
+        from repro.crypto.cache import clear_caches
+        from repro.crypto.rsa import (
+            _KNOWN_INVERSES,
+            _PRIVATE_OPS,
+            RsaPrivateKey,
+        )
+        from repro.scanner import grabber
+
+        server = build_server(
+            scan_rng.substream(f"rsa-pin-{policy.short_label}"),
+            rsa_2048,
+            endpoint_configs=[EndpointConfig(mode, policy)],
+            token_types=[UserTokenType.ANONYMOUS],
+        )
+        net = SimNetwork(SimClock(parse_utc("2020-08-30")))
+        host = SimHost(address=parse_ipv4("10.0.0.1"), asn=64500)
+        host.listen(4840, server.new_connection)
+        net.add_host(host)
+
+        private_calls = []
+        raw_private = RsaPrivateKey.raw_decrypt
+
+        def counted(key, value):
+            private_calls.append(value)
+            return raw_private(key, value)
+
+        monkeypatch.setattr(RsaPrivateKey, "raw_decrypt", counted)
+        monkeypatch.setattr(RsaPrivateKey, "raw_sign", counted)
+
+        def counters():
+            return (
+                len(private_calls),
+                _KNOWN_INVERSES.hits,
+                _PRIVATE_OPS.hits,
+                _PRIVATE_OPS.misses,
+            )
+
+        regrab = {}
+        negotiate = grabber._negotiate_security
+
+        def measured(*args):
+            before = counters()
+            negotiate(*args)
+            regrab["delta"] = [b - a for a, b in zip(before, counters())]
+
+        monkeypatch.setattr(grabber, "_negotiate_security", measured)
+        clear_caches()  # no entry left over from an earlier test
+        record = grab_host(
+            net,
+            parse_ipv4("10.0.0.1"),
+            4840,
+            scanner_identity,
+            scan_rng,
+            traverse=False,
+        )
+        assert record.session.negotiated_policy_uri == policy.uri
+        assert record.session.negotiated_mode == int(mode)
+
+        calls, inverse_hits, private_hits, private_misses = regrab["delta"]
+        crt = calls - inverse_hits - private_hits
+        assert crt == private_misses
+        assert crt == self.PROTOCOL_MINIMUM

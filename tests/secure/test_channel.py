@@ -186,6 +186,24 @@ class TestMessageExchange:
         with pytest.raises(Exception):
             server.decode_message(bytes(frame[HEADER_SIZE:]))
 
+    @pytest.mark.parametrize("cut", [1, 15])
+    def test_unaligned_encrypted_body_rejected(self, cut, channel_certs):
+        """A SignAndEncrypt body cut short of a whole AES block is a
+        channel error on either side, not a bare ValueError."""
+        client, server = handshake(
+            POLICY_BASIC256SHA256,
+            MessageSecurityMode.SIGN_AND_ENCRYPT,
+            channel_certs,
+        )
+        response = server.encode_message(
+            GetEndpointsResponse(endpoints=[]), request_id=3
+        )
+        with pytest.raises(SecureChannelError, match="block-aligned"):
+            client.decode_message(response[HEADER_SIZE:-cut])
+        request = client.encode_message(GetEndpointsRequest(), request_id=3)
+        with pytest.raises(SecureChannelError, match="block-aligned"):
+            server.decode_message(request[HEADER_SIZE:-cut])
+
     def test_wrong_channel_id_rejected(self, channel_certs):
         client, server = handshake(
             POLICY_NONE, MessageSecurityMode.NONE, channel_certs

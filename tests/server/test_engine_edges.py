@@ -236,3 +236,45 @@ class TestMalformedTraffic:
             encode_frame(MessageType.MESSAGE, "F", b"\x00" * 16)
         )
         assert out.startswith(b"ERR")
+
+    def test_unaligned_encrypted_msg_gets_error_frame(
+        self, erng, rsa_2048, rsa_1024
+    ):
+        """A SignAndEncrypt MSG body cut short of a whole AES block is
+        answered with an ERR frame, not raised out of ``receive``."""
+        from repro.transport.connection import encode_frame
+        from repro.transport.messages import (
+            HEADER_SIZE,
+            ErrorMessage,
+            MessageType,
+        )
+        from repro.uabin.types_discovery import GetEndpointsRequest
+
+        server = build_server(
+            erng,
+            rsa_2048,
+            endpoint_configs=[
+                EndpointConfig(
+                    MessageSecurityMode.SIGN_AND_ENCRYPT, POLICY_BASIC256SHA256
+                )
+            ],
+        )
+        client = build_client(server, erng.substream("cut"), rsa_1024)
+        client.hello()
+        secure_open(
+            client,
+            POLICY_BASIC256SHA256,
+            MessageSecurityMode.SIGN_AND_ENCRYPT,
+            server.config.certificate.raw_der,
+        )
+        frame = client._channel.encode_message(
+            GetEndpointsRequest(), request_id=9
+        )
+        connection = client._stream._connection
+        out = connection.receive(
+            encode_frame(MessageType.MESSAGE, "F", frame[HEADER_SIZE:-1])
+        )
+        assert out.startswith(b"ERR")
+        error = ErrorMessage.decode_body(out[HEADER_SIZE:])
+        assert error.error_code == StatusCodes.BadSecurityChecksFailed.value
+        assert connection.closed
